@@ -16,8 +16,8 @@
 //	tbtmd -debug-addr 127.0.0.1:7421    # /metrics (Prometheus), /trace, /debug/pprof
 //	tbtmd -slow-op 10ms                 # log slow ops with their phase breakdown
 //
-// The flight recorder is armed by default: per-event-loop rings of
-// phase events (decode, lease wait, engine exec, WAL gate, fsync wait,
+// The flight recorder is armed by default: per-connection pooled rings
+// of phase events (decode, lease wait, engine exec, WAL gate, fsync wait,
 // response flush) dumpable via the TRACE wire verb, the debug
 // endpoint's /trace, or SIGUSR1 (to stderr). -flight-recorder=false
 // disarms it; -slow-op additionally logs any op over the threshold

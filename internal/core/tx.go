@@ -97,14 +97,16 @@ type TxMeta struct {
 	// Retries counts how many times this logical transaction has been
 	// re-executed after an abort; used by backoff policies.
 	Retries int
-	// CommitTick is the scalar commit time the transaction installed its
-	// writes under, recorded by the backend's commit path on a successful
-	// update commit. Write-free commits leave it zero. A plain field is
-	// safe under the recycler discipline: only the owning thread writes it
-	// (at commit) and reads it (after Commit returns, before the
-	// descriptor is recycled). Vector-clock backends (CS-STM, S-STM) have
-	// no scalar commit time and never set it.
-	CommitTick uint64
+	// commitTick is the scalar commit time the transaction installs its
+	// writes under, recorded by the backend's commit path as soon as the
+	// time is acquired (see CommitTick). Write-free commits leave it
+	// zero. Vector-clock backends (CS-STM, S-STM) have no scalar commit
+	// time and never set it.
+	commitTick atomic.Uint64
+	// installing is raised by a vector-clock commit path just before it
+	// stamps its timestamp and installs its versions; from then on the
+	// committer waits on no one (see Installing).
+	installing atomic.Bool
 
 	status atomic.Int32
 }
@@ -128,9 +130,35 @@ func (m *TxMeta) Reset(kind TxKind, threadID int) {
 	m.ThreadID = threadID
 	m.Prio.Store(0)
 	m.Retries = 0
-	m.CommitTick = 0
+	m.commitTick.Store(0)
+	m.installing.Store(false)
 	m.status.Store(int32(StatusActive))
 }
+
+// CommitTick returns the scalar commit time the transaction acquired for
+// its installs, or zero if it has none yet. The owner reads it after
+// Commit returns; other threads read it while the transaction is
+// committing, to tell whether its in-flight installs can land at or
+// below a given time (zero then means "not yet known").
+//
+//tbtm:noalloc
+func (m *TxMeta) CommitTick() uint64 { return m.commitTick.Load() }
+
+// SetCommitTick records the commit time acquired by the owner's commit
+// path, before it installs any version under it.
+func (m *TxMeta) SetCommitTick(t uint64) { m.commitTick.Store(t) }
+
+// Installing reports whether a committing vector-clock transaction has
+// begun stamping and installing. One that has not yet begun will stamp
+// a fresh clock tick that no timestamp a concurrent validator already
+// holds contains, so its future versions can never causally precede
+// that validator; only an installing committer has to be waited out.
+func (m *TxMeta) Installing() bool { return m.installing.Load() }
+
+// SetInstalling marks the transaction as installing. The commit path
+// calls it before acquiring its fresh tick, so a validator that still
+// reads false is guaranteed the tick comes later.
+func (m *TxMeta) SetInstalling() { m.installing.Store(true) }
 
 // Status returns the current lifecycle state.
 func (m *TxMeta) Status() Status { return Status(m.status.Load()) }

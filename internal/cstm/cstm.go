@@ -387,6 +387,23 @@ func (tx *Tx) stabilize(o *Object) {
 	}
 }
 
+// awaitInstall waits until o has no installing writer, so validation
+// sees the successor an in-flight install is about to attach. Writers
+// still validating are not waited for: the successor they may install
+// carries a tick stamped after this check, which tx.ct cannot contain,
+// so it can never fail the successor test. Waiting for them instead
+// would let two committers that each read what the other writes wait
+// on each other forever.
+func (tx *Tx) awaitInstall(o *Object) {
+	for round := 0; ; round++ {
+		w := o.wr.Load()
+		if w == nil || w == tx.meta || w.Status() != core.StatusCommitting || !w.Installing() {
+			return
+		}
+		cm.Backoff(round)
+	}
+}
+
 // finish marks the transaction done and leaves the epoch critical
 // section entered by Begin.
 func (tx *Tx) finish() {
@@ -553,7 +570,7 @@ func (tx *Tx) recordWrite(o *Object, val any) {
 // means T.ct absorbed the successor itself: a true conflict, hence ≼.
 func (tx *Tx) validate() bool {
 	for _, r := range tx.reads {
-		tx.stabilize(r.obj)
+		tx.awaitInstall(r.obj)
 		if succ := r.ver.next.Load(); succ != nil && succ.CT.LessEq(tx.ct) {
 			return false
 		}
@@ -622,6 +639,7 @@ func (tx *Tx) Commit() error {
 		// threads sharing a plausible-clock entry never generate the same
 		// timestamp (§4.3). Stamp also advances the Lamport entry of a
 		// comb clock.
+		tx.meta.SetInstalling()
 		tx.stm.clock.Stamp(tx.th.id, tx.ct)
 		for _, w := range tx.writes {
 			nv := &Version{Value: w.val, CT: tx.ct, Seq: w.base.Seq + 1, WriterID: tx.meta.ID}

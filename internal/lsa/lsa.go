@@ -369,22 +369,56 @@ func (tx *Tx) WatchesStale(ws []core.Watch) bool {
 // noReadSetFastPath reports whether this transaction skips read tracking.
 func (tx *Tx) noReadSetFastPath() bool { return tx.ro && tx.stm.cfg.NoReadSets }
 
-// stabilize waits until o has no committing writer (its install is in
-// flight) and returns the current writer, which is nil, tx's own meta, a
-// still-active enemy, or a terminal leftover.
+// anyTick makes stabilize wait out every committing writer, whatever
+// commit time its install lands under.
+const anyTick = ^uint64(0)
+
+// stabilize waits until o has no committing writer whose install (in
+// flight) may land at or below time t, and returns the current writer:
+// nil, tx's own meta, a still-active enemy, a terminal leftover, or a
+// committer whose versions will all be newer than t.
+//
+// Skipping committers above t is what keeps commit-time validation
+// deadlock-free: a committer validating at its own tick waits only on
+// committers with smaller ticks (or, on a time base that shares ticks,
+// the same tick and a smaller ID), so no two committers ever wait on
+// each other. A committer that has not published its tick yet is still
+// waited out; it is between two clock operations and waits on no one.
 //
 //tbtm:pinned
-func (tx *Tx) stabilize(o *core.Object) *core.TxMeta {
+func (tx *Tx) stabilize(o *core.Object, t uint64) *core.TxMeta {
 	for round := 0; ; round++ {
 		w := o.Writer()
 		if w == nil || w == tx.meta {
 			return w
 		}
-		if w.Status() == core.StatusCommitting {
+		if w.Status() == core.StatusCommitting && tx.mayLandBy(w, t) {
 			cm.Backoff(round)
 			continue
 		}
 		return w
+	}
+}
+
+// mayLandBy reports whether committer w's installs may get a commit
+// time at or below t, so that tx has to see them before judging
+// versions at t. When t is tx's own commit tick, a committer holding
+// the same tick (possible only on a sharing time base) counts only if
+// its ID is smaller, which orders the two committers consistently.
+//
+//tbtm:pinned
+//tbtm:noalloc
+func (tx *Tx) mayLandBy(w *core.TxMeta, t uint64) bool {
+	wt := w.CommitTick()
+	switch {
+	case wt == 0 || wt < t:
+		return true
+	case wt > t:
+		return false
+	case t == tx.meta.CommitTick():
+		return w.ID < tx.meta.ID
+	default:
+		return true
 	}
 }
 
@@ -430,7 +464,7 @@ func (tx *Tx) Read(o *core.Object) (any, error) {
 	tx.meta.Prio.Add(1)
 
 	for {
-		w := tx.stabilize(o)
+		w := tx.stabilize(o, anyTick)
 		if w != nil && w != tx.meta && w.Status() == core.StatusActive &&
 			w.Kind == core.Long && tx.stm.cfg.GuardLongWriters {
 			// Under Z-STM, reading around an active long writer would let
@@ -577,13 +611,14 @@ func (tx *Tx) zoneUnsafe(o *core.Object, v *core.Version) bool {
 }
 
 // validateAt reports whether every read version is still the newest
-// version at time t. Committing writers are waited out first so that
-// in-flight installs (whose commit time may be <= t) are observed.
+// version at time t. Committing writers whose in-flight installs may
+// land at or below t are waited out first so those installs are
+// observed; installs above t cannot change the version newest at t.
 //
 //tbtm:pinned
 func (tx *Tx) validateAt(t uint64) bool {
 	for _, r := range tx.reads {
-		tx.stabilize(r.obj)
+		tx.stabilize(r.obj, t)
 		if newestAt(r.obj, t) != r.ver {
 			return false
 		}
@@ -683,7 +718,7 @@ func (tx *Tx) Commit() error {
 		}
 	}
 	ct := tx.stm.cfg.Clock.CommitTime(tx.th.id)
-	tx.meta.CommitTick = ct
+	tx.meta.SetCommitTick(ct)
 	// Publish the write set into the commit log immediately after
 	// acquiring the commit time and before validating: the tick is the
 	// claim, so a concurrent extension scanning past ct finds the record

@@ -533,7 +533,7 @@ func (tx *Tx) Commit() error {
 		return tx.fail(core.ErrAborted)
 	}
 	tx.ct = tx.stm.cfg.Clock.CommitTime(tx.th.id)
-	tx.meta.CommitTick = tx.ct
+	tx.meta.SetCommitTick(tx.ct)
 	// Publish the write set before installing, so snapshot advances
 	// scanning past tx.ct find the record instead of missing the
 	// in-flight installs (see lsa.Tx.Commit).

@@ -83,9 +83,9 @@ type Event struct {
 	Op   uint8
 }
 
-// Ring is a fixed-capacity event ring. One permanent Ring belongs to
-// each event loop; fallback (goroutine-per-conn) connections borrow
-// pooled rings. A short critical section under a plain mutex keeps
+// Ring is a fixed-capacity event ring. Each connection borrows a
+// pooled ring for its lifetime (AcquireRing); a long-lived writer such
+// as the replica applier holds a permanent one (Recorder.Ring). A short critical section under a plain mutex keeps
 // recording race-free without allocating — a Lock/Unlock pair on an
 // uncontended mutex costs ~20ns, well under the phase durations being
 // measured.
@@ -153,8 +153,7 @@ func (r *Ring) Op(op uint8, conn uint32, seq uint64, aux uint32, start int64) {
 	}
 }
 
-// maxRings bounds the pooled-ring population; fallback connections
-// beyond it share one overflow ring rather than growing memory.
+// maxRings bounds the pooled-ring population; connections beyond it share one overflow ring rather than growing memory.
 const maxRings = 64
 
 // Recorder owns the rings, the armed switch, and the slow-op sink.
@@ -177,7 +176,7 @@ type Recorder struct {
 }
 
 // DefaultRingEvents is the per-ring capacity when the caller passes
-// zero: 4096 events × 40 bytes ≈ 160KiB per event loop.
+// zero: 4096 events × 40 bytes ≈ 160KiB per ring.
 const DefaultRingEvents = 4096
 
 // NewRecorder returns an armed recorder with events slots per ring
@@ -226,7 +225,8 @@ func (rec *Recorder) newRing() *Ring {
 	return &Ring{rec: rec, ev: make([]Event, rec.events)}
 }
 
-// Ring allocates a permanent ring (one per event loop).
+// Ring allocates a permanent ring for one long-lived writer (the
+// replica applier); connections use AcquireRing instead.
 func (rec *Recorder) Ring() *Ring {
 	if rec == nil {
 		return nil
@@ -238,7 +238,7 @@ func (rec *Recorder) Ring() *Ring {
 	return r
 }
 
-// AcquireRing borrows a pooled ring for a fallback connection;
+// AcquireRing borrows a pooled ring for a connection;
 // ReleaseRing returns it. Past maxRings total rings, connections
 // share one overflow ring (its mutex keeps that safe).
 func (rec *Recorder) AcquireRing() *Ring {

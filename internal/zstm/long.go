@@ -303,7 +303,7 @@ func (tx *LongTx) Commit() error {
 	}
 	if len(tx.writes) > 0 {
 		ct := s.inner.Clock().CommitTime(tx.th.inner.ID())
-		tx.meta.CommitTick = ct
+		tx.meta.SetCommitTick(ct)
 		// Long transactions tick the same time base as the short-side LSA,
 		// so their write sets must reach the same commit log: a short
 		// transaction fast-extending across ct would otherwise never see

@@ -8,6 +8,26 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"tbtm/server/engine"
+	"tbtm/server/wire"
+)
+
+// Errors the Client returns to callers (see server/engine).
+var (
+	// ErrServerClosed: the server is shutting down; the request was not
+	// executed (or a parked blocking op was woken by the shutdown).
+	ErrServerClosed = engine.ErrServerClosed
+	// ErrClientGone: wakes a parked blocking op whose connection hung
+	// up; the server tears that connection down without an answer.
+	ErrClientGone = engine.ErrClientGone
+	// ErrReadOnlyMode: a durable primary degraded to read-only after a
+	// WAL failure (fail-stop for writes; reads keep serving).
+	ErrReadOnlyMode = engine.ErrReadOnly
+	// ErrReplicaRead: the server is a read replica; writes must go to
+	// the primary. Distinct from ErrReadOnlyMode so clients can fail
+	// over instead of alerting.
+	ErrReplicaRead = engine.ErrReplicaRead
 )
 
 // Client is a tbtmd connection. A Client carries one request at a time
@@ -50,7 +70,7 @@ func NewClient(c net.Conn) *Client {
 		c:        c,
 		br:       bufio.NewReader(c),
 		bw:       bufio.NewWriter(c),
-		maxFrame: DefaultMaxFrame,
+		maxFrame: wire.DefaultMaxFrame,
 	}
 }
 
@@ -61,7 +81,7 @@ func (c *Client) Close() error { return c.c.Close() }
 
 // newReq assigns the next sequence ID and starts a request payload:
 // uvarint sequence ID, opcode byte.
-func (c *Client) newReq(op Op) []byte {
+func (c *Client) newReq(op wire.Op) []byte {
 	c.seq++
 	req := binary.AppendUvarint(c.out[:0], c.seq)
 	return append(req, byte(op))
@@ -71,20 +91,20 @@ func (c *Client) newReq(op Op) []byte {
 // status and payload (valid until the next call). The synchronous
 // Client has exactly one request outstanding, so the echoed sequence
 // ID must match the one just assigned.
-func (c *Client) roundTrip(req []byte) (Status, []byte, error) {
+func (c *Client) roundTrip(req []byte) (wire.Status, []byte, error) {
 	c.out = req[:0]
-	if err := writeFrame(c.bw, &c.hdr, req); err != nil {
+	if err := wire.WriteFrame(c.bw, &c.hdr, req); err != nil {
 		return 0, nil, err
 	}
 	if err := c.bw.Flush(); err != nil {
 		return 0, nil, err
 	}
-	payload, buf, err := readFrame(c.br, &c.hdr, c.in, c.maxFrame)
+	payload, buf, err := wire.ReadFrame(c.br, &c.hdr, c.in, c.maxFrame)
 	c.in = buf
 	if err != nil {
 		return 0, nil, err
 	}
-	seq, p, err := takeUvarint(payload)
+	seq, p, err := wire.TakeUvarint(payload)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -92,29 +112,29 @@ func (c *Client) roundTrip(req []byte) (Status, []byte, error) {
 		return 0, nil, fmt.Errorf("server: response for sequence %d, want %d", seq, c.seq)
 	}
 	if len(p) == 0 {
-		return 0, nil, errTruncated
+		return 0, nil, wire.ErrTruncated
 	}
-	return Status(p[0]), p[1:], nil
+	return wire.Status(p[0]), p[1:], nil
 }
 
 // err maps non-OK statuses to errors (StatusNotFound is handled by the
 // typed accessors, not here).
-func statusErr(st Status, p []byte) error {
+func statusErr(st wire.Status, p []byte) error {
 	switch st {
-	case StatusOK, StatusNotFound:
+	case wire.StatusOK, wire.StatusNotFound:
 		return nil
-	case StatusClosed:
+	case wire.StatusClosed:
 		return ErrServerClosed
-	case StatusReadOnly:
+	case wire.StatusReadOnly:
 		// The reason byte distinguishes a replica (fail over to the
 		// primary) from a degraded primary (operator attention); its
 		// absence means a pre-replication server — WAL degradation.
-		if b, _, err := takeByte(p); err == nil && b == ReadOnlyReplica {
+		if b, _, err := wire.TakeByte(p); err == nil && b == wire.ReadOnlyReplica {
 			return ErrReplicaRead
 		}
 		return ErrReadOnlyMode
-	case StatusError:
-		msg, _, err := takeBytes(p)
+	case wire.StatusError:
+		msg, _, err := wire.TakeBytes(p)
 		if err != nil {
 			return fmt.Errorf("server: error response (unreadable message)")
 		}
@@ -125,7 +145,7 @@ func statusErr(st Status, p []byte) error {
 
 // Ping round-trips an empty request.
 func (c *Client) Ping() error {
-	st, p, err := c.roundTrip(c.newReq(OpPing))
+	st, p, err := c.roundTrip(c.newReq(wire.OpPing))
 	if err != nil {
 		return err
 	}
@@ -135,25 +155,25 @@ func (c *Client) Ping() error {
 // Get reads key. ok is false when the key does not exist. The returned
 // slice is valid until the next call on this Client.
 func (c *Client) Get(key string) (val []byte, ok bool, err error) {
-	req := appendString(c.newReq(OpGet), key)
+	req := wire.AppendString(c.newReq(wire.OpGet), key)
 	st, p, err := c.roundTrip(req)
 	if err != nil {
 		return nil, false, err
 	}
-	if st == StatusNotFound {
+	if st == wire.StatusNotFound {
 		return nil, false, nil
 	}
 	if err := statusErr(st, p); err != nil {
 		return nil, false, err
 	}
-	v, _, err := takeBytes(p)
+	v, _, err := wire.TakeBytes(p)
 	return v, true, err
 }
 
 // Set writes key = val.
 func (c *Client) Set(key string, val []byte) error {
-	req := appendString(c.newReq(OpSet), key)
-	req = appendBytes(req, val)
+	req := wire.AppendString(c.newReq(wire.OpSet), key)
+	req = wire.AppendBytes(req, val)
 	st, p, err := c.roundTrip(req)
 	if err != nil {
 		return err
@@ -163,7 +183,7 @@ func (c *Client) Set(key string, val []byte) error {
 
 // Del removes key, reporting whether it existed.
 func (c *Client) Del(key string) (deleted bool, err error) {
-	req := appendString(c.newReq(OpDel), key)
+	req := wire.AppendString(c.newReq(wire.OpDel), key)
 	st, p, err := c.roundTrip(req)
 	if err != nil {
 		return false, err
@@ -171,7 +191,7 @@ func (c *Client) Del(key string) (deleted bool, err error) {
 	if err := statusErr(st, p); err != nil {
 		return false, err
 	}
-	b, _, err := takeByte(p)
+	b, _, err := wire.TakeByte(p)
 	return b != 0, err
 }
 
@@ -179,10 +199,10 @@ func (c *Client) Del(key string) (deleted bool, err error) {
 // holds exactly expect; when !expectPresent, iff key is absent
 // (create-if-absent). On success key is set to val.
 func (c *Client) Cas(key string, expect []byte, expectPresent bool, val []byte) (swapped bool, err error) {
-	req := appendString(c.newReq(OpCas), key)
-	req = append(req, boolByte(expectPresent))
-	req = appendBytes(req, expect)
-	req = appendBytes(req, val)
+	req := wire.AppendString(c.newReq(wire.OpCas), key)
+	req = append(req, wire.BoolByte(expectPresent))
+	req = wire.AppendBytes(req, expect)
+	req = wire.AppendBytes(req, val)
 	st, p, err := c.roundTrip(req)
 	if err != nil {
 		return false, err
@@ -190,7 +210,7 @@ func (c *Client) Cas(key string, expect []byte, expectPresent bool, val []byte) 
 	if err := statusErr(st, p); err != nil {
 		return false, err
 	}
-	b, _, err := takeByte(p)
+	b, _, err := wire.TakeByte(p)
 	return b != 0, err
 }
 
@@ -204,8 +224,8 @@ type KV struct {
 // order, as ONE consistent snapshot (a long read-only transaction
 // server-side). to == "" means unbounded above; limit 0 means no limit.
 func (c *Client) Range(from, to string, limit int) ([]KV, error) {
-	req := appendString(c.newReq(OpRange), from)
-	req = appendString(req, to)
+	req := wire.AppendString(c.newReq(wire.OpRange), from)
+	req = wire.AppendString(req, to)
 	req = binary.AppendUvarint(req, uint64(limit))
 	st, p, err := c.roundTrip(req)
 	if err != nil {
@@ -214,7 +234,7 @@ func (c *Client) Range(from, to string, limit int) ([]KV, error) {
 	if err := statusErr(st, p); err != nil {
 		return nil, err
 	}
-	n, p, err := takeUvarint(p)
+	n, p, err := wire.TakeUvarint(p)
 	if err != nil {
 		return nil, err
 	}
@@ -228,10 +248,10 @@ func (c *Client) Range(from, to string, limit int) ([]KV, error) {
 	out := make([]KV, 0, capHint)
 	for i := uint64(0); i < n; i++ {
 		var k, v []byte
-		if k, p, err = takeBytes(p); err != nil {
+		if k, p, err = wire.TakeBytes(p); err != nil {
 			return nil, err
 		}
-		if v, p, err = takeBytes(p); err != nil {
+		if v, p, err = wire.TakeBytes(p); err != nil {
 			return nil, err
 		}
 		out = append(out, KV{Key: string(k), Val: append([]byte(nil), v...)})
@@ -242,7 +262,7 @@ func (c *Client) Range(from, to string, limit int) ([]KV, error) {
 // MultiOp is one operation of a MultiExec script.
 type MultiOp struct {
 	// Op must be OpGet, OpSet, OpDel or OpCas.
-	Op            Op
+	Op            wire.Op
 	Key           string
 	Val           []byte
 	Expect        []byte
@@ -250,14 +270,14 @@ type MultiOp struct {
 }
 
 // MGet, MSet, MDel and MCas build script entries.
-func MGet(key string) MultiOp           { return MultiOp{Op: OpGet, Key: key} }
-func MSet(key string, v []byte) MultiOp { return MultiOp{Op: OpSet, Key: key, Val: v} }
-func MDel(key string) MultiOp           { return MultiOp{Op: OpDel, Key: key} }
+func MGet(key string) MultiOp           { return MultiOp{Op: wire.OpGet, Key: key} }
+func MSet(key string, v []byte) MultiOp { return MultiOp{Op: wire.OpSet, Key: key, Val: v} }
+func MDel(key string) MultiOp           { return MultiOp{Op: wire.OpDel, Key: key} }
 
 // MCas builds a CAS entry; see Client.Cas for the semantics. A failed
 // CAS aborts the whole script.
 func MCas(key string, expect []byte, expectPresent bool, v []byte) MultiOp {
-	return MultiOp{Op: OpCas, Key: key, Expect: expect, ExpectPresent: expectPresent, Val: v}
+	return MultiOp{Op: wire.OpCas, Key: key, Expect: expect, ExpectPresent: expectPresent, Val: v}
 }
 
 // MultiResult is the outcome of one script operation. OK means: found
@@ -273,20 +293,20 @@ type MultiResult struct {
 // covering the ops up to and including the failed one. Reads in a
 // committed script observe the script's own earlier writes.
 func (c *Client) MultiExec(ops []MultiOp) (results []MultiResult, committed bool, err error) {
-	req := c.newReq(OpMulti)
+	req := c.newReq(wire.OpMulti)
 	req = binary.AppendUvarint(req, uint64(len(ops)))
 	for i := range ops {
 		op := &ops[i]
 		req = append(req, byte(op.Op))
-		req = appendString(req, op.Key)
+		req = wire.AppendString(req, op.Key)
 		switch op.Op {
-		case OpGet, OpDel:
-		case OpSet:
-			req = appendBytes(req, op.Val)
-		case OpCas:
-			req = append(req, boolByte(op.ExpectPresent))
-			req = appendBytes(req, op.Expect)
-			req = appendBytes(req, op.Val)
+		case wire.OpGet, wire.OpDel:
+		case wire.OpSet:
+			req = wire.AppendBytes(req, op.Val)
+		case wire.OpCas:
+			req = append(req, wire.BoolByte(op.ExpectPresent))
+			req = wire.AppendBytes(req, op.Expect)
+			req = wire.AppendBytes(req, op.Val)
 		default:
 			return nil, false, fmt.Errorf("server: opcode %s not valid in multi", op.Op)
 		}
@@ -298,37 +318,37 @@ func (c *Client) MultiExec(ops []MultiOp) (results []MultiResult, committed bool
 	if err := statusErr(st, p); err != nil {
 		return nil, false, err
 	}
-	cb, p, err := takeByte(p)
+	cb, p, err := wire.TakeByte(p)
 	if err != nil {
 		return nil, false, err
 	}
 	committed = cb != 0
-	n, p, err := takeUvarint(p)
+	n, p, err := wire.TakeUvarint(p)
 	if err != nil {
 		return nil, false, err
 	}
 	results = make([]MultiResult, 0, n)
 	for i := uint64(0); int(i) < int(n) && int(i) < len(ops); i++ {
 		var sb byte
-		if sb, p, err = takeByte(p); err != nil {
+		if sb, p, err = wire.TakeByte(p); err != nil {
 			return nil, false, err
 		}
 		res := MultiResult{}
 		switch ops[i].Op {
-		case OpGet:
-			res.OK = Status(sb) == StatusOK
+		case wire.OpGet:
+			res.OK = wire.Status(sb) == wire.StatusOK
 			if res.OK {
 				var v []byte
-				if v, p, err = takeBytes(p); err != nil {
+				if v, p, err = wire.TakeBytes(p); err != nil {
 					return nil, false, err
 				}
 				res.Val = append([]byte(nil), v...)
 			}
-		case OpSet:
-			res.OK = Status(sb) == StatusOK
-		case OpDel, OpCas:
+		case wire.OpSet:
+			res.OK = wire.Status(sb) == wire.StatusOK
+		case wire.OpDel, wire.OpCas:
 			var b byte
-			if b, p, err = takeByte(p); err != nil {
+			if b, p, err = wire.TakeByte(p); err != nil {
 				return nil, false, err
 			}
 			res.OK = b != 0
@@ -341,7 +361,7 @@ func (c *Client) MultiExec(ops []MultiOp) (results []MultiResult, committed bool
 // BTake blocks until key exists, then atomically deletes it and returns
 // its value. Woken by server shutdown it returns ErrServerClosed.
 func (c *Client) BTake(key string) ([]byte, error) {
-	req := appendString(c.newReq(OpBTake), key)
+	req := wire.AppendString(c.newReq(wire.OpBTake), key)
 	st, p, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
@@ -349,7 +369,7 @@ func (c *Client) BTake(key string) ([]byte, error) {
 	if err := statusErr(st, p); err != nil {
 		return nil, err
 	}
-	v, _, err := takeBytes(p)
+	v, _, err := wire.TakeBytes(p)
 	if err != nil {
 		return nil, err
 	}
@@ -360,9 +380,9 @@ func (c *Client) BTake(key string) ([]byte, error) {
 // returns the new state. Woken by server shutdown it returns
 // ErrServerClosed.
 func (c *Client) Wait(key string, old []byte, oldPresent bool) (val []byte, present bool, err error) {
-	req := appendString(c.newReq(OpWait), key)
-	req = append(req, boolByte(oldPresent))
-	req = appendBytes(req, old)
+	req := wire.AppendString(c.newReq(wire.OpWait), key)
+	req = append(req, wire.BoolByte(oldPresent))
+	req = wire.AppendBytes(req, old)
 	st, p, err := c.roundTrip(req)
 	if err != nil {
 		return nil, false, err
@@ -370,14 +390,14 @@ func (c *Client) Wait(key string, old []byte, oldPresent bool) (val []byte, pres
 	if err := statusErr(st, p); err != nil {
 		return nil, false, err
 	}
-	pb, p, err := takeByte(p)
+	pb, p, err := wire.TakeByte(p)
 	if err != nil {
 		return nil, false, err
 	}
 	if pb == 0 {
 		return nil, false, nil
 	}
-	v, _, err := takeBytes(p)
+	v, _, err := wire.TakeBytes(p)
 	if err != nil {
 		return nil, false, err
 	}
@@ -387,14 +407,14 @@ func (c *Client) Wait(key string, old []byte, oldPresent bool) (val []byte, pres
 // Stats fetches the server's engine and executor counters.
 func (c *Client) Stats() (StatsReply, error) {
 	var reply StatsReply
-	st, p, err := c.roundTrip(c.newReq(OpStats))
+	st, p, err := c.roundTrip(c.newReq(wire.OpStats))
 	if err != nil {
 		return reply, err
 	}
 	if err := statusErr(st, p); err != nil {
 		return reply, err
 	}
-	doc, _, err := takeBytes(p)
+	doc, _, err := wire.TakeBytes(p)
 	if err != nil {
 		return reply, err
 	}
@@ -405,7 +425,7 @@ func (c *Client) Stats() (StatsReply, error) {
 // time-ordered phase events — as a raw JSON document. max bounds the
 // event count (0 = the server default).
 func (c *Client) Trace(max int) ([]byte, error) {
-	req := binary.AppendUvarint(c.newReq(OpTrace), uint64(max))
+	req := binary.AppendUvarint(c.newReq(wire.OpTrace), uint64(max))
 	st, p, err := c.roundTrip(req)
 	if err != nil {
 		return nil, err
@@ -413,7 +433,7 @@ func (c *Client) Trace(max int) ([]byte, error) {
 	if err := statusErr(st, p); err != nil {
 		return nil, err
 	}
-	doc, _, err := takeBytes(p)
+	doc, _, err := wire.TakeBytes(p)
 	if err != nil {
 		return nil, err
 	}

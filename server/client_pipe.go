@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"tbtm/server/wire"
 )
 
 // Reply is one pipelined response, decoded generically. Val is valid
@@ -21,9 +23,9 @@ type Reply struct {
 	// Seq echoes the sequence ID the enqueue call returned.
 	Seq uint64
 	// Op is the opcode of the matched request.
-	Op Op
+	Op wire.Op
 	// Status is the wire status byte.
-	Status Status
+	Status wire.Status
 	// OK is the opcode's boolean outcome: found (Get), deleted (Del),
 	// swapped (Cas), present (Wait), committed (Multi); true on success
 	// for Ping/Set/BTake.
@@ -41,12 +43,12 @@ type Reply struct {
 // responses). Like the Client, a Pipe is not safe for concurrent use.
 type Pipe struct {
 	c       *Client
-	pending map[uint64]Op
+	pending map[uint64]wire.Op
 }
 
 // Pipe returns a pipelined view of the client's connection.
 func (c *Client) Pipe() *Pipe {
-	return &Pipe{c: c, pending: make(map[uint64]Op)}
+	return &Pipe{c: c, pending: make(map[uint64]wire.Op)}
 }
 
 // Outstanding reports how many requests await a Recv.
@@ -56,12 +58,12 @@ func (p *Pipe) Outstanding() int { return len(p.pending) }
 // writer without flushing and records it as pending.
 func (p *Pipe) enqueue(req []byte) uint64 {
 	c := p.c
-	var op Op
+	var op wire.Op
 	if _, n := binary.Uvarint(req); n > 0 && n < len(req) {
-		op = Op(req[n])
+		op = wire.Op(req[n])
 	}
 	c.out = req[:0]
-	if err := writeFrame(c.bw, &c.hdr, req); err != nil {
+	if err := wire.WriteFrame(c.bw, &c.hdr, req); err != nil {
 		// The write error will resurface on Flush/Recv; the request still
 		// counts as pending so Recv's bookkeeping stays consistent.
 		_ = err
@@ -71,64 +73,64 @@ func (p *Pipe) enqueue(req []byte) uint64 {
 }
 
 // Ping enqueues a ping.
-func (p *Pipe) Ping() uint64 { return p.enqueue(p.c.newReq(OpPing)) }
+func (p *Pipe) Ping() uint64 { return p.enqueue(p.c.newReq(wire.OpPing)) }
 
 // Get enqueues a read of key.
 func (p *Pipe) Get(key string) uint64 {
-	return p.enqueue(appendString(p.c.newReq(OpGet), key))
+	return p.enqueue(wire.AppendString(p.c.newReq(wire.OpGet), key))
 }
 
 // Set enqueues key = val.
 func (p *Pipe) Set(key string, val []byte) uint64 {
-	req := appendString(p.c.newReq(OpSet), key)
-	return p.enqueue(appendBytes(req, val))
+	req := wire.AppendString(p.c.newReq(wire.OpSet), key)
+	return p.enqueue(wire.AppendBytes(req, val))
 }
 
 // Del enqueues a delete of key.
 func (p *Pipe) Del(key string) uint64 {
-	return p.enqueue(appendString(p.c.newReq(OpDel), key))
+	return p.enqueue(wire.AppendString(p.c.newReq(wire.OpDel), key))
 }
 
 // Cas enqueues a compare-and-swap (see Client.Cas for semantics).
 func (p *Pipe) Cas(key string, expect []byte, expectPresent bool, val []byte) uint64 {
-	req := appendString(p.c.newReq(OpCas), key)
-	req = append(req, boolByte(expectPresent))
-	req = appendBytes(req, expect)
-	return p.enqueue(appendBytes(req, val))
+	req := wire.AppendString(p.c.newReq(wire.OpCas), key)
+	req = append(req, wire.BoolByte(expectPresent))
+	req = wire.AppendBytes(req, expect)
+	return p.enqueue(wire.AppendBytes(req, val))
 }
 
 // BTake enqueues a blocking take. Its Reply may arrive after replies
 // to later requests.
 func (p *Pipe) BTake(key string) uint64 {
-	return p.enqueue(appendString(p.c.newReq(OpBTake), key))
+	return p.enqueue(wire.AppendString(p.c.newReq(wire.OpBTake), key))
 }
 
 // Wait enqueues a blocking wait-for-change (see Client.Wait). Its
 // Reply may arrive after replies to later requests.
 func (p *Pipe) Wait(key string, old []byte, oldPresent bool) uint64 {
-	req := appendString(p.c.newReq(OpWait), key)
-	req = append(req, boolByte(oldPresent))
-	return p.enqueue(appendBytes(req, old))
+	req := wire.AppendString(p.c.newReq(wire.OpWait), key)
+	req = append(req, wire.BoolByte(oldPresent))
+	return p.enqueue(wire.AppendBytes(req, old))
 }
 
 // Multi enqueues a script (see Client.MultiExec). The Reply's OK is
 // the committed flag; per-op results are not decoded on the pipelined
 // path.
 func (p *Pipe) Multi(ops []MultiOp) (uint64, error) {
-	req := p.c.newReq(OpMulti)
+	req := p.c.newReq(wire.OpMulti)
 	req = binary.AppendUvarint(req, uint64(len(ops)))
 	for i := range ops {
 		op := &ops[i]
 		req = append(req, byte(op.Op))
-		req = appendString(req, op.Key)
+		req = wire.AppendString(req, op.Key)
 		switch op.Op {
-		case OpGet, OpDel:
-		case OpSet:
-			req = appendBytes(req, op.Val)
-		case OpCas:
-			req = append(req, boolByte(op.ExpectPresent))
-			req = appendBytes(req, op.Expect)
-			req = appendBytes(req, op.Val)
+		case wire.OpGet, wire.OpDel:
+		case wire.OpSet:
+			req = wire.AppendBytes(req, op.Val)
+		case wire.OpCas:
+			req = append(req, wire.BoolByte(op.ExpectPresent))
+			req = wire.AppendBytes(req, op.Expect)
+			req = wire.AppendBytes(req, op.Val)
 		default:
 			return 0, fmt.Errorf("server: opcode %s not valid in multi", op.Op)
 		}
@@ -150,12 +152,12 @@ func (p *Pipe) Recv() (Reply, error) {
 	if err := c.bw.Flush(); err != nil {
 		return Reply{}, err
 	}
-	payload, buf, err := readFrame(c.br, &c.hdr, c.in, c.maxFrame)
+	payload, buf, err := wire.ReadFrame(c.br, &c.hdr, c.in, c.maxFrame)
 	c.in = buf
 	if err != nil {
 		return Reply{}, err
 	}
-	seq, body, err := takeUvarint(payload)
+	seq, body, err := wire.TakeUvarint(payload)
 	if err != nil {
 		return Reply{}, err
 	}
@@ -164,42 +166,42 @@ func (p *Pipe) Recv() (Reply, error) {
 		return Reply{}, fmt.Errorf("server: response for unknown sequence %d", seq)
 	}
 	delete(p.pending, seq)
-	st, body, err := takeByte(body)
+	st, body, err := wire.TakeByte(body)
 	if err != nil {
 		return Reply{}, err
 	}
-	r := Reply{Seq: seq, Op: op, Status: Status(st)}
+	r := Reply{Seq: seq, Op: op, Status: wire.Status(st)}
 	if err := statusErr(r.Status, body); err != nil {
 		r.Err = err
 		return r, nil
 	}
 	switch op {
-	case OpPing, OpSet:
-		r.OK = r.Status == StatusOK
-	case OpGet, OpBTake:
-		if r.Status == StatusOK {
+	case wire.OpPing, wire.OpSet:
+		r.OK = r.Status == wire.StatusOK
+	case wire.OpGet, wire.OpBTake:
+		if r.Status == wire.StatusOK {
 			r.OK = true
-			r.Val, _, err = takeBytes(body)
+			r.Val, _, err = wire.TakeBytes(body)
 		}
-	case OpDel, OpCas:
+	case wire.OpDel, wire.OpCas:
 		var b byte
-		if b, _, err = takeByte(body); err == nil {
+		if b, _, err = wire.TakeByte(body); err == nil {
 			r.OK = b != 0
 		}
-	case OpWait:
+	case wire.OpWait:
 		var b byte
-		if b, body, err = takeByte(body); err == nil && b != 0 {
+		if b, body, err = wire.TakeByte(body); err == nil && b != 0 {
 			r.OK = true
-			r.Val, _, err = takeBytes(body)
+			r.Val, _, err = wire.TakeBytes(body)
 		}
-	case OpMulti:
+	case wire.OpMulti:
 		var b byte
-		if b, _, err = takeByte(body); err == nil {
+		if b, _, err = wire.TakeByte(body); err == nil {
 			r.OK = b != 0
 		}
-	case OpStats:
+	case wire.OpStats:
 		r.OK = true
-		r.Val, _, err = takeBytes(body)
+		r.Val, _, err = wire.TakeBytes(body)
 	}
 	if err != nil {
 		return Reply{}, err

@@ -8,7 +8,7 @@
 //	server/engine    operations: store, executor leases, batching, MULTI
 //	server/durable   durability: WAL gating, checkpoints, degradation
 //	server/repl      replication: WAL shipping, replica application
-//	server/transport connection I/O: event loops, bursts, batching
+//	server/transport connection I/O: per-conn readers, bursts, batching
 //
 // Server wires them together: it builds the engine and store, wraps the
 // store durable (Config.DataDir) or replica-read-only (Config.ReplicaOf),
@@ -16,7 +16,7 @@
 // transport.Host — the narrow callback surface (shutdown flag, in-flight
 // accounting, stats document, replication streams) the transport needs
 // from the world above it. The client (Client, Pipe) lives here too,
-// speaking server/wire types re-exported for compatibility.
+// speaking the server/wire protocol directly.
 package server
 
 import (
@@ -55,20 +55,11 @@ type Config struct {
 	BlockingLeases int
 	// Buckets sizes the value hash map (0 = 1024).
 	Buckets int
-	// MaxFrame bounds request payloads (0 = DefaultMaxFrame).
+	// MaxFrame bounds request payloads (0 = wire.DefaultMaxFrame).
 	MaxFrame int
 	// LongOpens overrides the classifier's long-promotion threshold
 	// (0 = the adaptive package default).
 	LongOpens float64
-	// EventLoops selects the connection I/O driver. 0 (the default)
-	// means one shared reader event loop per core (GOMAXPROCS) on
-	// platforms with a poller the server can drive directly (Linux
-	// epoll), and the portable goroutine-per-connection driver
-	// elsewhere; > 0 forces that many event loops; < 0 forces the
-	// portable driver everywhere. Connections parked in blocking ops
-	// never occupy a loop either way — blocking work always runs on
-	// dedicated goroutines.
-	EventLoops int
 	// MaxBatch caps how many consecutive non-blocking single-key ops
 	// from one pipelined burst are executed under a single lease and
 	// commit window (0 = 64).
@@ -137,10 +128,10 @@ type StatsReply struct {
 	// Aborts breaks the engine's failed attempts down by the
 	// internal/metrics taxonomy (conflict, explicit abort, snapshot
 	// miss, other).
-	Aborts   tbtm.AbortReasons `json:"aborts"`
-	Metrics  MetricsSnapshot   `json:"metrics"`
-	Conns    int64             `json:"conns"`
-	UptimeMs int64             `json:"uptime_ms"`
+	Aborts   tbtm.AbortReasons      `json:"aborts"`
+	Metrics  engine.MetricsSnapshot `json:"metrics"`
+	Conns    int64                  `json:"conns"`
+	UptimeMs int64                  `json:"uptime_ms"`
 	// WAL is present only on durable servers (Config.DataDir set).
 	WAL *WALStatsReply `json:"wal,omitempty"`
 	// Repl is present only on replicas (Config.ReplicaOf set).
@@ -197,14 +188,9 @@ type Server struct {
 	inflight atomic.Int64 // requests between decode and response write
 	conns    atomic.Int64
 
-	// loops drives connection I/O on platforms with shared event loops;
-	// nil (or declining Attach) falls back to goroutine-per-connection.
-	loopOnce sync.Once
-	loops    *transport.LoopSet
-
 	mu      sync.Mutex
 	ln      net.Listener
-	open    map[net.Conn]*transport.Conn
+	open    map[net.Conn]struct{}
 	serving sync.WaitGroup
 }
 
@@ -223,7 +209,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Buckets = 1024
 	}
 	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = DefaultMaxFrame
+		cfg.MaxFrame = wire.DefaultMaxFrame
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
@@ -266,7 +252,7 @@ func New(cfg Config) (*Server, error) {
 		tm:    tm,
 		store: engine.NewStore(tm, cfg.Buckets),
 		start: time.Now(),
-		open:  make(map[net.Conn]*transport.Conn),
+		open:  make(map[net.Conn]struct{}),
 		rec:   rec,
 	}
 	s.kv = s.store
@@ -308,7 +294,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) TM() *tbtm.TM { return s.tm }
 
 // Executor returns the server's Thread-executor.
-func (s *Server) Executor() *Executor { return s.exec }
+func (s *Server) Executor() *engine.Executor { return s.exec }
 
 // Recovery describes what durable startup reconstructed (nil on
 // in-memory servers).
@@ -353,19 +339,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.ln = ln
 	s.mu.Unlock()
-	s.loopOnce.Do(func() {
-		n := s.cfg.EventLoops
-		if n == 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		if n > 0 {
-			// A loop-construction error (fd limits) is not fatal: the
-			// portable driver serves every connection instead.
-			if loops, err := transport.NewLoopSet(s, n, s.rec); err == nil {
-				s.loops = loops
-			}
-		}
-	})
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -381,20 +354,18 @@ func (s *Server) Serve(ln net.Listener) error {
 			conn.Close()
 			continue
 		}
-		s.open[conn] = cn
+		s.open[conn] = struct{}{}
 		s.serving.Add(1)
 		s.mu.Unlock()
 		s.conns.Add(1)
-		if !s.loops.Attach(cn) {
-			go transport.ServeFallback(cn)
-		}
+		go transport.Serve(cn)
 	}
 }
 
 // Close shuts the server down gracefully: stop accepting, commit the
 // shutdown flag (which wakes every parked BTAKE/WAIT — they answer
-// StatusClosed), drain in-flight responses, then tear connections down
-// and stop the event loops. Safe to call more than once.
+// StatusClosed), drain in-flight responses, then tear connections down.
+// Safe to call more than once.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -417,13 +388,11 @@ func (s *Server) Close() error {
 	}
 	// Anything still queued for a lease answers StatusClosed from here.
 	s.exec.Close()
-	// Hand connections back to their owning drivers: mark them dead and
-	// shut the READ side, which surfaces as EOF in the driver. The owner
-	// closes the socket itself, so a shared event loop never races a
-	// reused fd number.
+	// Shut each connection's READ side: its reader goroutine sees EOF
+	// and tears the connection down. Non-TCP connections have no
+	// half-close and are closed outright.
 	s.mu.Lock()
-	for c, cn := range s.open {
-		cn.MarkDead()
+	for c := range s.open {
 		if tc, ok := c.(*net.TCPConn); ok {
 			tc.CloseRead()
 		} else {
@@ -431,8 +400,7 @@ func (s *Server) Close() error {
 		}
 	}
 	s.mu.Unlock()
-	s.loops.Wake()
-	// A driver can still be wedged writing to a client that stopped
+	// A reader can still be wedged writing to a client that stopped
 	// reading; after a grace period close those sockets outright.
 	done := make(chan struct{})
 	go func() {
@@ -449,8 +417,6 @@ func (s *Server) Close() error {
 		s.mu.Unlock()
 		<-done
 	}
-	s.loops.Wake()
-	s.loops.Wait()
 	// Replica shutdown: the applier disconnects from the primary and
 	// stops; readers are gone by now.
 	if s.replica != nil {

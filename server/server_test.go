@@ -2,8 +2,11 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,6 +15,7 @@ import (
 	"time"
 
 	"tbtm"
+	"tbtm/server/wire"
 )
 
 // startServer builds and serves a test instance on a loopback port.
@@ -466,18 +470,96 @@ func TestServerGracefulShutdownWithParkedClients(t *testing.T) {
 	}
 }
 
+// TestServerUnixListener covers the non-TCP path: Serve accepts any
+// net.Listener, and Close — which has no read-side half-close for a
+// unix socket — closes such connections outright after waking their
+// parked ops.
+func TestServerUnixListener(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tbtmd.sock")
+	ln, err := net.Listen("unix", path)
+	if err != nil {
+		t.Fatalf("listen unix: %v", err)
+	}
+	srv, err := New(Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	t.Cleanup(func() { srv.Close() })
+
+	c, err := net.Dial("unix", path)
+	if err != nil {
+		t.Fatalf("dial unix: %v", err)
+	}
+	cl := NewClient(c)
+	defer cl.Close()
+
+	if err := cl.Set("a", []byte("1")); err != nil {
+		t.Fatalf("set: %v", err)
+	}
+	if v, ok, err := cl.Get("a"); err != nil || !ok || string(v) != "1" {
+		t.Fatalf("get: %q ok=%v err=%v", v, ok, err)
+	}
+	res, committed, err := cl.MultiExec([]MultiOp{MGet("a"), MSet("b", []byte("2"))})
+	if err != nil || !committed || len(res) != 2 || !res[0].OK || string(res[0].Val) != "1" {
+		t.Fatalf("multi: %+v committed=%v err=%v", res, committed, err)
+	}
+
+	// One pipelined window: replies in request order, reads see the
+	// window's own writes.
+	p := cl.Pipe()
+	seqs := []uint64{p.Set("c", []byte("3")), p.Get("b"), p.Get("c"), p.Ping()}
+	want := []string{"", "2", "3", ""}
+	if err := p.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	for i, seq := range seqs {
+		r, err := p.Recv()
+		if err != nil || r.Err != nil || r.Seq != seq || string(r.Val) != want[i] {
+			t.Fatalf("reply %d = seq %d val %q err %v/%v, want seq %d val %q", i, r.Seq, r.Val, err, r.Err, seq, want[i])
+		}
+	}
+
+	// A parked BTAKE is woken by Close with the shutdown status; then
+	// the connection is closed under the client.
+	btake := p.BTake("never-fed")
+	if err := p.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	waitParked(t, srv.TM(), 1)
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Close took %v on a unix listener", d)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	r, err := p.Recv()
+	if err != nil || r.Seq != btake || !errors.Is(r.Err, ErrServerClosed) {
+		t.Fatalf("btake at shutdown = seq %d err %v/%v, want seq %d ErrServerClosed", r.Seq, err, r.Err, btake)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after Close = %v, want EOF", err)
+	}
+}
+
 func TestServerErrorKeepsConnectionUsable(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	cl := dialT(t, addr)
 	// Hand-write a bogus opcode frame (sequence ID, then junk).
-	st, p, err := cl.roundTrip(cl.newReq(Op(0xEE)))
+	st, p, err := cl.roundTrip(cl.newReq(wire.Op(0xEE)))
 	if err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
-	if st != StatusError {
-		t.Fatalf("status = %d, want StatusError", st)
+	if st != wire.StatusError {
+		t.Fatalf("status = %d, want wire.StatusError", st)
 	}
-	if msg, _, _ := takeBytes(p); !bytes.Contains(msg, []byte("opcode")) {
+	if msg, _, _ := wire.TakeBytes(p); !bytes.Contains(msg, []byte("opcode")) {
 		t.Fatalf("error message = %q", msg)
 	}
 	if err := cl.Ping(); err != nil {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"tbtm/internal/telemetry"
+	"tbtm/server/wire"
 )
 
 // Recorder returns the server's flight recorder (for embedding servers
@@ -31,7 +32,7 @@ func (s *Server) Registry() *telemetry.Registry {
 }
 
 // opLabel renders the op label pair for one opcode.
-func opLabel(op Op) string { return fmt.Sprintf("op=%q", op.String()) }
+func opLabel(op wire.Op) string { return fmt.Sprintf("op=%q", op.String()) }
 
 func (s *Server) buildRegistry() *telemetry.Registry {
 	r := telemetry.NewRegistry()
@@ -43,7 +44,7 @@ func (s *Server) buildRegistry() *telemetry.Registry {
 		telemetry.Family{
 			Name: "tbtmd_ops_total", Help: "Wire operations completed, by opcode.", Kind: telemetry.Counter,
 			Collect: func(e *telemetry.Emitter) {
-				for op := Op(1); op < OpMax; op++ {
+				for op := wire.Op(1); op < wire.OpMax; op++ {
 					if n := m.OpLatency(op).Count(); n > 0 {
 						e.Value(opLabel(op), float64(n))
 					}
@@ -53,7 +54,7 @@ func (s *Server) buildRegistry() *telemetry.Registry {
 		telemetry.Family{
 			Name: "tbtmd_op_errors_total", Help: "Wire operations that returned an error, by opcode.", Kind: telemetry.Counter,
 			Collect: func(e *telemetry.Emitter) {
-				for op := Op(1); op < OpMax; op++ {
+				for op := wire.Op(1); op < wire.OpMax; op++ {
 					if n := m.OpErrors(op); n > 0 {
 						e.Value(opLabel(op), float64(n))
 					}
@@ -63,7 +64,7 @@ func (s *Server) buildRegistry() *telemetry.Registry {
 		telemetry.Family{
 			Name: "tbtmd_op_latency_seconds", Help: "Wire operation latency, by opcode (log2 buckets).", Kind: telemetry.Histogram,
 			Collect: func(e *telemetry.Emitter) {
-				for op := Op(1); op < OpMax; op++ {
+				for op := wire.Op(1); op < wire.OpMax; op++ {
 					if h := m.OpLatency(op); h.Count() > 0 {
 						e.Hist(opLabel(op), h, 1e-9)
 					}

@@ -1,10 +1,11 @@
 // Package transport is the server's connection I/O layer: pipelined
 // greedy decode, server-side batching, a coalescing response writer,
-// and the platform connection drivers (shared epoll event loops on
-// Linux, goroutine-per-connection elsewhere). It drives any engine.KV
-// through an engine.Executor and calls back into its Host — the
-// server's composition root — for everything above the connection:
-// lifecycle registration, stats documents, and replication streams.
+// and the connection driver (Serve: one reader goroutine per
+// connection, with the Go runtime's netpoller as the event loop). It
+// drives any engine.KV through an engine.Executor and calls back into
+// its Host — the server's composition root — for everything above the
+// connection: lifecycle registration, stats documents, and replication
+// streams.
 //
 // PR5 served one request at a time per connection: read one frame,
 // lease a Thread, run one transaction, write one response, flush — four
@@ -62,8 +63,7 @@ type Config struct {
 	// from one pipelined burst share a lease and commit window.
 	MaxBatch int
 	// Recorder is the host's flight recorder (nil disables tracing).
-	// Event loops record into one permanent ring per loop; fallback
-	// connections borrow pooled rings.
+	// Each connection borrows a pooled ring for its lifetime.
 	Recorder *telemetry.Recorder
 }
 
@@ -131,9 +131,6 @@ type Conn struct {
 	c    net.Conn
 	w    io.Writer // response sink; cn.c except in decode-level tests
 
-	fd   int         // epoll-path file descriptor (-1 on the fallback driver)
-	dead atomic.Bool // set by Close so the owning loop tears down without touching the socket
-
 	in    []byte       // read accumulation buffer; frames are decoded in place
 	inoff int          // consumed prefix of in
 	req   wire.Request // decoded request (aliases in)
@@ -174,11 +171,11 @@ type Conn struct {
 	batchFn   func(*tbtm.Thread) error
 	batchROFn func(*tbtm.Thread) error
 
-	// Flight-recorder state. ring is the event sink (the owning event
-	// loop's permanent ring, or a pooled ring on the fallback driver);
-	// id tags this connection's events. evOp/evSeq/evT0 carry the
-	// in-flight op's envelope — set before the executor call so the
-	// prebound closures (which cannot take parameters) can see them.
+	// Flight-recorder state. ring is the event sink (a pooled ring held
+	// for the connection's lifetime); id tags this connection's events.
+	// evOp/evSeq/evT0 carry the in-flight op's envelope — set before
+	// the executor call so the prebound closures (which cannot take
+	// parameters) can see them.
 	ring  *telemetry.Ring
 	id    uint32
 	evOp  uint8
@@ -196,7 +193,7 @@ var connIDSeq atomic.Uint32
 // registered the connection already (ConnDone undoes that exactly
 // once).
 func NewConn(host Host, cfg Config, exec *engine.Executor, kv engine.KV, c net.Conn) *Conn {
-	cn := &Conn{host: host, cfg: cfg, exec: exec, kv: kv, c: c, w: c, fd: -1,
+	cn := &Conn{host: host, cfg: cfg, exec: exec, kv: kv, c: c, w: c,
 		replStop: make(chan struct{}), id: connIDSeq.Add(1)}
 	// The closures run under the lease: everything before them was
 	// lease-wait, everything inside them is engine execution. Begins()
@@ -237,11 +234,6 @@ func NewConn(host Host, cfg Config, exec *engine.Executor, kv engine.KV, c net.C
 // NetConn returns the underlying connection (the host keys its open-
 // connection registry by it and shuts its read side at Close).
 func (cn *Conn) NetConn() net.Conn { return cn.c }
-
-// MarkDead flags the connection for teardown by its owning driver
-// without touching the socket (the owner closes it; see the event-loop
-// ownership rule).
-func (cn *Conn) MarkDead() { cn.dead.Store(true) }
 
 // keyString converts a wire key to the store's string key through the
 // connection's direct-mapped cache.
@@ -851,7 +843,7 @@ func (cn *Conn) flushWire() error {
 // streams, wake anything this connection parked (the client cannot
 // receive the value anyway — for BTAKE the key must NOT be consumed),
 // close the socket, and deregister from the host. Called only by the
-// connection's owning driver (its event loop or its reader goroutine).
+// connection's reader goroutine (Serve).
 func (cn *Conn) teardown() {
 	cn.down.Do(func() {
 		close(cn.replStop)
@@ -863,17 +855,15 @@ func (cn *Conn) teardown() {
 	})
 }
 
-// ServeFallback is the portable connection driver: one goroutine per
-// connection blocked in Read — the Go runtime's netpoller is the event
-// loop — with the same greedy decode, batching, and coalesced flush as
-// the shared epoll loops. Used when the platform has no epoll (or the
-// host disabled loops), and for non-TCP listeners. It blocks until the
-// connection dies; run it on its own goroutine.
-func ServeFallback(cn *Conn) {
-	if rec := cn.cfg.Recorder; rec != nil && cn.ring == nil {
-		cn.ring = rec.AcquireRing()
-		defer rec.ReleaseRing(cn.ring)
-	}
+// Serve is the connection driver: one goroutine per connection blocked
+// in Read — the Go runtime's netpoller is the event loop — processing
+// each readable burst (greedy decode, batching, coalesced flush) inline.
+// It works over any net.Conn and blocks until the connection dies; run
+// it on its own goroutine.
+func Serve(cn *Conn) {
+	rec := cn.cfg.Recorder
+	cn.ring = rec.AcquireRing()
+	defer rec.ReleaseRing(cn.ring)
 	defer cn.teardown()
 	for {
 		cn.grow(1)
@@ -886,9 +876,6 @@ func ServeFallback(cn *Conn) {
 		}
 		if err != nil {
 			return // EOF, conn closed, or a framing error we cannot answer
-		}
-		if cn.dead.Load() {
-			return
 		}
 	}
 }

@@ -3,6 +3,7 @@ package structs
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -284,12 +285,16 @@ func TestQueueLenAndDrain(t *testing.T) {
 func TestQueueConcurrentProducersConsumers(t *testing.T) {
 	tm := newTM(t, tbtm.ZLinearizable)
 	q := NewQueue[int](tm)
+	// log is the committed dequeue order: each consumer appends the value
+	// it took inside the dequeuing transaction, so the log's order is the
+	// queue's serialization order, not the order consumers got scheduled.
+	log := tbtm.NewVar[[]int](tm, nil)
 	const producers, per = 3, 40
-	var wg sync.WaitGroup
+	var pwg sync.WaitGroup
 	for p := 0; p < producers; p++ {
-		wg.Add(1)
+		pwg.Add(1)
 		go func(p int) {
-			defer wg.Done()
+			defer pwg.Done()
 			th := tm.NewThread()
 			for i := 0; i < per; i++ {
 				if err := q.EnqueueAtomic(th, p*per+i); err != nil {
@@ -299,46 +304,78 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 			}
 		}(p)
 	}
-	var mu sync.Mutex
-	got := make(map[int]bool)
-	perProducerLast := make(map[int]int) // FIFO check per producer
+	produced := make(chan struct{})
+	go func() {
+		pwg.Wait()
+		close(produced)
+	}()
+	var cwg sync.WaitGroup
 	for c := 0; c < 2; c++ {
-		wg.Add(1)
+		cwg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer cwg.Done()
 			th := tm.NewThread()
-			misses := 0
-			for misses < 2000 {
-				v, err := q.DequeueAtomic(th)
+			for {
+				// A dequeue that began after every enqueue committed and
+				// still found the queue empty ends the consumer.
+				var done bool
+				select {
+				case <-produced:
+					done = true
+				default:
+				}
+				err := th.Atomic(tbtm.Short, func(tx tbtm.Tx) error {
+					v, err := q.Dequeue(tx)
+					if err != nil {
+						return err
+					}
+					l, err := log.Read(tx)
+					if err != nil {
+						return err
+					}
+					return log.Write(tx, append(l[:len(l):len(l)], v))
+				})
 				if errors.Is(err, ErrEmpty) {
-					misses++
+					if done {
+						return
+					}
+					runtime.Gosched()
 					continue
 				}
 				if err != nil {
 					t.Errorf("dequeue: %v", err)
 					return
 				}
-				mu.Lock()
-				if got[v] {
-					t.Errorf("value %d dequeued twice", v)
-				}
-				got[v] = true
-				p := v / per
-				if last, ok := perProducerLast[p]; ok && v < last {
-					t.Errorf("producer %d order violated: %d after %d", p, v, last)
-				}
-				perProducerLast[p] = v
-				if len(got) == producers*per {
-					mu.Unlock()
-					return
-				}
-				mu.Unlock()
 			}
 		}()
 	}
-	wg.Wait()
-	if len(got) != producers*per {
-		t.Fatalf("dequeued %d values, want %d", len(got), producers*per)
+	cwg.Wait()
+	<-produced
+
+	th := tm.NewThread()
+	var order []int
+	if err := th.AtomicReadOnly(tbtm.Short, func(tx tbtm.Tx) error {
+		var err error
+		order, err = log.Read(tx)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != producers*per {
+		t.Fatalf("dequeued %d values, want %d", len(order), producers*per)
+	}
+	seen := make(map[int]bool)
+	last := make(map[int]int) // FIFO check per producer
+	for _, v := range order {
+		if seen[v] {
+			t.Errorf("value %d dequeued twice", v)
+		}
+		seen[v] = true
+		p := v / per
+		if l, ok := last[p]; ok && v < l {
+			t.Errorf("producer %d order violated: %d after %d", p, v, l)
+		}
+		last[p] = v
 	}
 }
 

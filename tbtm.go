@@ -427,7 +427,7 @@ func (th *Thread) LastCommitTick() uint64 { return th.lastCommitTick }
 // noteCommit records a successful commit's tick; write-free commits
 // (tick zero) are ignored so the last update commit stays observable.
 func (th *Thread) noteCommit(tx Tx) {
-	if ct := tx.meta().CommitTick; ct != 0 {
+	if ct := tx.meta().CommitTick(); ct != 0 {
 		th.lastCommitTick = ct
 	}
 }
