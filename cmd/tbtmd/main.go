@@ -71,7 +71,7 @@ func run(args []string) error {
 	consistency := fs.String("consistency", "zlin", "engine criterion: lsa|single|causal|serializable|zlin|si")
 	leases := fs.Int("leases", 0, "fast lease pool size (0 = 2*GOMAXPROCS)")
 	blockingLeases := fs.Int("blocking-leases", 0, "blocking lease pool size (0 = 64)")
-	buckets := fs.Int("buckets", 0, "store hash buckets (0 = 1024)")
+	buckets := fs.Int("buckets", 0, "store hash map root width (0 = 1024); buckets past 16 keys split into a trie below it")
 	versions := fs.Int("versions", 0, "retained versions per object (0 = engine default)")
 	statsEvery := fs.Duration("stats-every", 0, "log per-interval engine stats at this period (0 = off)")
 	duration := fs.Duration("duration", 0, "serve for this long, then exit gracefully (0 = until signal)")

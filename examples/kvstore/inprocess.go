@@ -1,9 +1,8 @@
 package main
 
 // The original in-process demo (-inprocess): the same counter/mirror
-// workload against the library API directly, with a hand-rolled
-// copy-on-write bucket store. Kept as the no-networking baseline the
-// wire demo is measured against.
+// workload against the library API directly, on a structs.Map. Kept as
+// the no-networking baseline the wire demo is measured against.
 
 import (
 	"fmt"
@@ -14,99 +13,25 @@ import (
 	"time"
 
 	"tbtm"
+	"tbtm/structs"
 )
-
-// entry is an immutable key/value pair node; bucket values are []entry
-// slices replaced wholesale on update (copy-on-write).
-type entry struct {
-	key string
-	val int
-}
-
-// Store is a transactional hash map.
-type Store struct {
-	tm      *tbtm.TM
-	buckets []*tbtm.Var[[]entry]
-}
-
-// NewStore creates a store with the given bucket count.
-func NewStore(tm *tbtm.TM, buckets int) *Store {
-	s := &Store{tm: tm, buckets: make([]*tbtm.Var[[]entry], buckets)}
-	for i := range s.buckets {
-		s.buckets[i] = tbtm.NewVar(tm, []entry(nil))
-	}
-	return s
-}
-
-func (s *Store) bucket(key string) *tbtm.Var[[]entry] {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return s.buckets[int(h)%len(s.buckets)]
-}
-
-// Put inserts or updates a key in a short transaction.
-func (s *Store) Put(th *tbtm.Thread, key string, val int) error {
-	b := s.bucket(key)
-	return th.Atomic(tbtm.Short, func(tx tbtm.Tx) error {
-		old, err := b.Read(tx)
-		if err != nil {
-			return err
-		}
-		next := make([]entry, 0, len(old)+1)
-		replaced := false
-		for _, e := range old {
-			if e.key == key {
-				next = append(next, entry{key: key, val: val})
-				replaced = true
-			} else {
-				next = append(next, e)
-			}
-		}
-		if !replaced {
-			next = append(next, entry{key: key, val: val})
-		}
-		return b.Write(tx, next)
-	})
-}
-
-// Snapshot scans the whole store in one long read-only transaction,
-// returning a consistent point-in-time view.
-func (s *Store) Snapshot(th *tbtm.Thread) (map[string]int, error) {
-	var snap map[string]int
-	err := th.AtomicReadOnly(tbtm.Long, func(tx tbtm.Tx) error {
-		snap = make(map[string]int)
-		for _, b := range s.buckets {
-			es, err := b.Read(tx)
-			if err != nil {
-				return err
-			}
-			for _, e := range es {
-				snap[e.key] = e.val
-			}
-		}
-		return nil
-	})
-	return snap, err
-}
 
 func runInProcess() {
 	tm, err := tbtm.New(tbtm.WithConsistency(tbtm.ZLinearizable))
 	if err != nil {
 		log.Fatal(err)
 	}
-	store := NewStore(tm, 64)
+	store := structs.NewMap[string, int](tm, 64, structs.StringHash)
 
 	// Seed: counters c0..c15, each starting at 0. Writers increment a
 	// counter and its mirror together; every snapshot must see
 	// counter == mirror for all pairs.
 	seedTh := tm.NewThread()
 	for i := 0; i < pairs; i++ {
-		if err := store.Put(seedTh, fmt.Sprintf("c%d", i), 0); err != nil {
+		if _, err := store.PutAtomic(seedTh, fmt.Sprintf("c%d", i), 0); err != nil {
 			log.Fatal(err)
 		}
-		if err := store.Put(seedTh, fmt.Sprintf("m%d", i), 0); err != nil {
+		if _, err := store.PutAtomic(seedTh, fmt.Sprintf("m%d", i), 0); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -123,27 +48,18 @@ func runInProcess() {
 				i++
 				k := (w*7 + i) % pairs
 				ck, mk := fmt.Sprintf("c%d", k), fmt.Sprintf("m%d", k)
-				// Paired increment in ONE transaction across two buckets.
-				cb, mb := store.bucket(ck), store.bucket(mk)
+				// Paired increment in ONE transaction: Get+Put of both keys.
 				err := th.Atomic(tbtm.Short, func(tx tbtm.Tx) error {
-					bump := func(b *tbtm.Var[[]entry], key string) error {
-						es, err := b.Read(tx)
+					for _, key := range [2]string{ck, mk} {
+						v, _, err := store.Get(tx, key)
 						if err != nil {
 							return err
 						}
-						next := make([]entry, len(es))
-						copy(next, es)
-						for j := range next {
-							if next[j].key == key {
-								next[j].val++
-							}
+						if _, err := store.Put(tx, key, v+1); err != nil {
+							return err
 						}
-						return b.Write(tx, next)
 					}
-					if err := bump(cb, ck); err != nil {
-						return err
-					}
-					return bump(mb, mk)
+					return nil
 				})
 				if err != nil {
 					log.Fatalf("paired increment: %v", err)
@@ -157,7 +73,7 @@ func runInProcess() {
 	th := tm.NewThread()
 	for round := 0; round < 30; round++ {
 		time.Sleep(2 * time.Millisecond)
-		snap, err := store.Snapshot(th)
+		snap, err := store.SnapshotAtomic(th)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -171,7 +87,7 @@ func runInProcess() {
 	stop.Store(true)
 	wg.Wait()
 
-	snap, err := store.Snapshot(th)
+	snap, err := store.SnapshotAtomic(th)
 	if err != nil {
 		log.Fatal(err)
 	}

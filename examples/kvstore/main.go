@@ -9,7 +9,7 @@
 //
 //	go run ./examples/kvstore                  # in-process server, wire client
 //	go run ./examples/kvstore -addr host:port  # drive an external tbtmd
-//	go run ./examples/kvstore -inprocess       # PR1-era in-process demo
+//	go run ./examples/kvstore -inprocess       # in-process demo on structs.Map
 package main
 
 import (

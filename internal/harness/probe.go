@@ -101,6 +101,9 @@ func runProbePoint(cfg ProbeConfig, length int) (ProbePoint, error) {
 	var (
 		stop atomic.Bool
 		wg   sync.WaitGroup
+		// churned counts committed background transfers, so a probe
+		// can wait until churn has overlapped it.
+		churned atomic.Uint64
 	)
 	for w := 0; w < cfg.Churn; w++ {
 		wg.Add(1)
@@ -111,7 +114,9 @@ func runProbePoint(cfg ProbeConfig, length int) (ProbePoint, error) {
 			for !stop.Load() {
 				runtime.Gosched() // transaction-granularity round-robin
 				from, to := pick.NextPair()
-				_ = b.Transfer(th, from, to, 1)
+				if b.Transfer(th, from, to, 1) == nil {
+					churned.Add(1)
+				}
 			}
 		}(w)
 	}
@@ -127,11 +132,21 @@ func runProbePoint(cfg ProbeConfig, length int) (ProbePoint, error) {
 		runtime.Gosched()
 		start := time.Now()
 		tx := th.Begin(kind)
+		began := churned.Load()
 		err := func() error {
 			var sum int64
 			for k := 0; k < length; k++ {
 				if k > 0 && k%50 == 0 {
-					runtime.Gosched() // simulate physical concurrency (DESIGN.md §7)
+					// Simulate physical concurrency: yield.
+					// A Short probe keeps yielding until at least one churn
+					// commit has landed since Begin, so it never runs
+					// unopposed even when the scheduler starves churn. A
+					// Long one does not wait: under Z-STM churn that
+					// crosses its zone waits for it to finish.
+					runtime.Gosched()
+					for !cfg.Long && churned.Load() == began {
+						runtime.Gosched()
+					}
 				}
 				v, err := b.Account(k).Read(tx)
 				if err != nil {

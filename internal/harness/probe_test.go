@@ -26,6 +26,7 @@ func TestProbeCommitProbabilityDeclinesWithLength(t *testing.T) {
 		t.Fatalf("points = %d, want 2", len(res.Points))
 	}
 	short, long := res.Points[0], res.Points[1]
+	t.Logf("first-attempt commit probability: short %.3f, long %.3f", short.Probability, long.Probability)
 	if short.Attempts != 150 || long.Attempts != 150 {
 		t.Fatalf("attempts: %d, %d; want 150 each", short.Attempts, long.Attempts)
 	}

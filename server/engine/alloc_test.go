@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"tbtm"
@@ -17,17 +19,22 @@ import (
 //  2. The executor's Acquire/Do/Release cycle is channel+atomics only.
 //  3. A warm single-key read through executor + classifier + store
 //     allocates NOTHING on LSA; a warm overwrite allocates only what
-//     genuinely escapes (the copied bucket slice and its interface
-//     box), independent of request count.
+//     genuinely escapes (the copied leaf slice and its interface box),
+//     independent of request count.
+//  4. The copied leaf holds at most 16 entries however many keys share
+//     a root bucket, so a warm overwrite allocates under 1 KiB.
 const (
 	maxAllocsWarmGet = 0
-	// The overwrite path rebuilds the bucket's []mapEntry slice (one
+	// The overwrite path rebuilds the map leaf's []mapEntry slice (one
 	// alloc) and boxes it into the Object's `any` slot (a second); the
 	// skiplist index is untouched when the key already exists.
 	maxAllocsWarmSet = 2
+	// A full leaf is 16 entries of 48 bytes (hash, string key, []byte
+	// value) plus the 24-byte slice box.
+	maxBytesWarmSet = 1024
 )
 
-func newAllocEngine(t *testing.T, fast, blocking int) (*Store, *Executor) {
+func newAllocEngine(t *testing.T, buckets, fast, blocking int) (*Store, *Executor) {
 	t.Helper()
 	tm, err := tbtm.New(
 		tbtm.WithConsistency(tbtm.ZLinearizable),
@@ -37,11 +44,11 @@ func newAllocEngine(t *testing.T, fast, blocking int) (*Store, *Executor) {
 	if err != nil {
 		t.Fatalf("tbtm.New: %v", err)
 	}
-	return NewStore(tm, 1024), NewExecutor(tm, fast, blocking, &Metrics{})
+	return NewStore(tm, buckets), NewExecutor(tm, fast, blocking, &Metrics{})
 }
 
 func TestWarmServerOpAllocs(t *testing.T) {
-	store, e := newAllocEngine(t, 2, 1)
+	store, e := newAllocEngine(t, 1024, 2, 1)
 	val := []byte("payload")
 
 	// Prebound closures, as the conn handler holds them.
@@ -74,11 +81,60 @@ func TestWarmServerOpAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmServerSetBytesFlat pins the overwrite cost in a crowded
+// store: 128 keys per root bucket, far past the 16 a leaf holds, so the
+// buckets have split and an overwrite copies one leaf, not the bucket.
+func TestWarmServerSetBytesFlat(t *testing.T) {
+	const buckets, keysPerBucket = 16, 128
+	store, e := newAllocEngine(t, buckets, 2, 1)
+	keys := make([]string, buckets*keysPerBucket)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key:%05d", i)
+		if err := e.Do(nil, wire.OpSet, false, func(th *tbtm.Thread) error {
+			return store.Set(th, keys[i], []byte("initial"))
+		}); err != nil {
+			t.Fatalf("preload: %v", err)
+		}
+	}
+	val := []byte("payload")
+	// Overwrite a rotating set of keys, so the bound covers leaves of
+	// every size the preload left.
+	hot := keys[:64]
+	next := 0
+	setFn := func(th *tbtm.Thread) error {
+		return store.Set(th, hot[next%len(hot)], val)
+	}
+	doSet := func() {
+		if err := e.Do(nil, wire.OpSet, false, setFn); err != nil {
+			t.Fatalf("set: %v", err)
+		}
+		next++
+	}
+	for i := 0; i < 4*len(hot); i++ { // warm descriptors, pools, classifier site
+		doSet()
+	}
+	if n := testing.AllocsPerRun(256, doSet); n > maxAllocsWarmSet {
+		t.Errorf("warm crowded SET: %.1f allocs/op, want <= %d", n, maxAllocsWarmSet)
+	}
+	const runs = 1024
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		doSet()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	if per > maxBytesWarmSet {
+		t.Errorf("warm crowded SET: %d bytes/op, want <= %d", per, maxBytesWarmSet)
+	}
+	t.Logf("warm crowded SET: %d bytes/op", per)
+}
+
 // TestWarmBlockingOpAllocs pins the non-parking fast path of the
 // blocking opcodes: a WAIT whose expectation is already stale answers
 // without parking and without allocating (LSA, warm).
 func TestWarmBlockingOpAllocs(t *testing.T) {
-	store, e := newAllocEngine(t, 1, 1)
+	store, e := newAllocEngine(t, 1024, 1, 1)
 	if err := e.Do(nil, wire.OpSet, false, func(th *tbtm.Thread) error {
 		return store.Set(th, "w", []byte("current"))
 	}); err != nil {

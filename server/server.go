@@ -53,7 +53,9 @@ type Config struct {
 	// BlockingLeases sizes the blocking tranche (BTAKE/WAIT); 0 means
 	// 64. Parked leases hold no epoch pin, so this can be generous.
 	BlockingLeases int
-	// Buckets sizes the value hash map (0 = 1024).
+	// Buckets sets the value hash map's root width (0 = 1024). Only the
+	// root: a bucket past 16 entries splits into a trie below it, so a
+	// large key count needs no larger setting.
 	Buckets int
 	// MaxFrame bounds request payloads (0 = wire.DefaultMaxFrame).
 	MaxFrame int

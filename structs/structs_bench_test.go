@@ -79,20 +79,34 @@ func BenchmarkQueueBlockingHandoff(b *testing.B) {
 	<-done
 }
 
+// BenchmarkMapPutGet overwrites and reads back keys at several bucket
+// occupancies. Leaves split past 16 entries, so the cost per op should
+// stay flat from a few keys per bucket to a thousand.
 func BenchmarkMapPutGet(b *testing.B) {
-	tm := tbtm.MustNew(tbtm.WithConsistency(tbtm.ZLinearizable))
-	m := NewMap[int, int](tm, 64, IntHash)
-	th := tm.NewThread()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := i % 512
-		if _, err := m.PutAtomic(th, k, i); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := m.GetAtomic(th, k); err != nil {
-			b.Fatal(err)
-		}
+	const buckets = 64
+	for _, perBucket := range []int{4, 100, 1000} {
+		b.Run(fmt.Sprintf("perBucket=%d", perBucket), func(b *testing.B) {
+			tm := tbtm.MustNew(tbtm.WithConsistency(tbtm.ZLinearizable))
+			m := NewMap[int, int](tm, buckets, IntHash)
+			th := tm.NewThread()
+			keys := buckets * perBucket
+			for k := 0; k < keys; k++ {
+				if _, err := m.PutAtomic(th, k, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := (i * 7919) % keys
+				if _, err := m.PutAtomic(th, k, i); err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := m.GetAtomic(th, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
